@@ -27,6 +27,15 @@ import (
 // fallback in the telemetry).
 const minBatchGroup = 2
 
+// minShardCells is the smallest shard runBatches splits a batch group
+// into. BenchmarkGridStep shows the SoA step rate already flat from 4 to
+// 64 cells per batch (about 17 M grid-steps/s on a 2-core Xeon), so a
+// 16-cell shard loses nothing to per-step overhead, while the floor keeps
+// each shard's fixed cost (a goroutine, a NewBatch, an injector compile)
+// small against its stepping work and keeps Characterize's 3-run groups
+// whole.
+const minShardCells = 16
+
 // emitStrip is how many lockstep steps of observer data each batched
 // cell buffers before flushing them to its observers in one consecutive
 // run (see runBatchGroup).
@@ -94,6 +103,10 @@ type batchOut struct {
 // seed Sweep hands its cell function is ignored). Like Run, substrates
 // are single-use — build fresh specs per call.
 //
+// Large groups are split into up to cfg.Workers shards stepped
+// concurrently (see runBatches), so a grid that forms a single group —
+// an Explore round — still spreads over every worker.
+//
 // Two caveats apply to batched cells, both documented in DESIGN.md: a
 // CellTimeout does not bound them (the group computes before the
 // per-cell attempt loop; context cancellation still stops the group
@@ -151,10 +164,11 @@ func batchKeyFor(spec *Spec) (batchKey, bool) {
 }
 
 // runBatches plans and executes the batch groups, returning per-cell
-// precomputed outcomes (nil entries mean "run per-cell"). Groups run
-// concurrently under cfg.Workers; context cancellation aborts cleanly,
-// leaving unfinished cells to the per-cell pass (which observes the
-// cancellation itself).
+// precomputed outcomes (nil entries mean "run per-cell"). Each group is
+// split into contiguous shards (shardGroup), and the shards of all groups
+// run concurrently under cfg.Workers; context cancellation aborts
+// cleanly, leaving unfinished cells to the per-cell pass (which observes
+// the cancellation itself).
 func runBatches(ctx context.Context, specs []Spec, cfg *SweepConfig) []*batchOut {
 	instrumented := obs.Enabled()
 	fluidCells := 0
@@ -191,7 +205,7 @@ func runBatches(ctx context.Context, specs []Spec, cfg *SweepConfig) []*batchOut
 	batched := 0
 	for _, idxs := range groups {
 		if len(idxs) >= minBatchGroup {
-			runs = append(runs, idxs)
+			runs = append(runs, shardGroup(specs, idxs, cfg.Workers)...)
 			batched += len(idxs)
 		}
 	}
@@ -204,7 +218,7 @@ func runBatches(ctx context.Context, specs []Spec, cfg *SweepConfig) []*batchOut
 	}
 
 	outs := make([]*batchOut, len(specs))
-	// Group workers write disjoint outs entries, so the slice needs no
+	// Shard workers write disjoint outs entries, so the slice needs no
 	// lock. The group function never returns an error: per-cell failures
 	// (divergence, chaos compile errors) are recorded in outs and
 	// surfaced by the per-cell pass with Sweep's usual fail-fast rules.
@@ -213,6 +227,39 @@ func runBatches(ctx context.Context, specs []Spec, cfg *SweepConfig) []*batchOut
 		return struct{}{}, nil
 	})
 	return outs
+}
+
+// shardGroup splits one batch group (cell indices in input order) into
+// up to workers contiguous shards of at least minShardCells cells each,
+// balanced by sender count, since a lockstep step costs per sender. A
+// serial sweep, or a group too small for two full shards, stays whole.
+// Cells never interact inside a fluid.Batch, so any split is
+// bit-identical to stepping the group at once.
+func shardGroup(specs []Spec, idxs []int, workers int) [][]int {
+	k := min(workers, len(idxs)/minShardCells)
+	if k < 2 {
+		return [][]int{idxs}
+	}
+	flows := func(i int) int { return len(specs[i].Substrate.(*FluidSpec).Senders) }
+	total := 0
+	for _, i := range idxs {
+		total += flows(i)
+	}
+	// Shard s ends at the first cell where the running sender count
+	// reaches s/k of the total, clamped so that it and every later shard
+	// keep minShardCells cells.
+	shards := make([][]int, 0, k)
+	start, j, acc := 0, 0, 0 // acc = senders in idxs[:j]
+	for s := 1; s < k; s++ {
+		lo, hi := start+minShardCells, len(idxs)-(k-s)*minShardCells
+		for j < hi && (j < lo || acc*k < total*s) {
+			acc += flows(idxs[j])
+			j++
+		}
+		shards = append(shards, idxs[start:j])
+		start = j
+	}
+	return append(shards, idxs[start:])
 }
 
 // restoredCells peeks at the checkpoint a resuming sweep will restore
@@ -236,27 +283,29 @@ func restoredCells(cfg *SweepConfig, n int) map[int]bool {
 	return m
 }
 
-// runBatchGroup steps one group of cells in lockstep and fills their
-// outs entries. On context cancellation it returns with the group's
-// entries still nil — those cells fall through to the per-cell pass,
-// which observes the cancellation before emitting anything.
+// runBatchGroup steps one shard of a batch group in lockstep and fills
+// its cells' outs entries. On context cancellation it returns with the
+// shard's entries still nil — those cells fall through to the per-cell
+// pass, which observes the cancellation before emitting anything.
 func runBatchGroup(ctx context.Context, specs []Spec, idxs []int, outs []*batchOut) {
 	first := &specs[idxs[0]]
 	fs0 := first.Substrate.(*FluidSpec)
 	steps := fs0.Steps
 	instrumented := obs.Enabled()
 
-	// The group span brackets the whole lockstep unit of work; the
-	// precompute/step/emit child spans split it into the fluid.Batch
-	// phases, so a timeline shows where a batched group's time goes.
+	// The group span brackets the shard's whole lockstep unit of work;
+	// the precompute/step/emit child spans split it into the fluid.Batch
+	// phases, so a timeline shows where a batched shard's time goes.
 	ctx, gsp := obs.StartSpan(ctx, "engine.batch.group")
 	gsp.SetDetail(strconv.Itoa(len(idxs)) + " cells × " + strconv.Itoa(steps) + " steps")
 	defer gsp.End()
 	_, psp := obs.StartSpan(ctx, "engine.batch.precompute")
 
-	// One shared injector per group: every cell in the group carries the
-	// same (schedule, seed, flows) triple, so per-cell compilation would
-	// yield identical injectors anyway.
+	// One injector per shard, shared by its cells: every cell of a group
+	// carries the same (schedule, seed, flows) triple, so per-cell
+	// compilation would yield identical injectors anyway. Shards compile
+	// their own because an injector's clock is mutable state that
+	// concurrent shards must not share.
 	var inj *chaos.Injector
 	if first.Chaos != nil {
 		var err error

@@ -6,6 +6,10 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/chaos"
@@ -19,61 +23,95 @@ import (
 // Robust-AIMD, HighSpeed).
 var batchFamilies = []string{"reno", "scalable", "iiad", "sqrt", "raimd:1,0.8,0.01", "hstcp"}
 
-// batchGrid builds one self-describing spec per (family, init) pair:
-// 2-sender fluid cells, recorded, with per-cell seeds. mutate lets a
-// scenario attach chaos schedules or loss processes per cell.
-func batchGrid(t *testing.T, steps int, mutate func(i int, spec *Spec)) []Spec {
+// batchGrid builds n self-describing specs cycling through the (family,
+// init) pairs: 2-sender fluid cells, recorded, with per-cell seeds.
+// mutate lets a scenario attach chaos schedules or loss processes per
+// cell.
+func batchGrid(t *testing.T, n, steps int, mutate func(i int, spec *Spec)) []Spec {
 	t.Helper()
 	inits := [][]float64{{1, 40}, {25, 25}}
-	var specs []Spec
-	i := 0
-	for _, fam := range batchFamilies {
-		for _, init := range inits {
-			senders, err := fluid.HomogeneousSenders(protocol.MustParse(fam), 2, init)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := fluidCfg()
-			cfg.Seed = uint64(1000 + i)
-			spec := Spec{
-				Substrate: &FluidSpec{Cfg: cfg, Senders: senders, Steps: steps},
-				Record:    true,
-			}
-			if mutate != nil {
-				mutate(i, &spec)
-			}
-			specs = append(specs, spec)
-			i++
+	specs := make([]Spec, 0, n)
+	for i := 0; i < n; i++ {
+		fam := batchFamilies[(i/len(inits))%len(batchFamilies)]
+		senders, err := fluid.HomogeneousSenders(protocol.MustParse(fam), 2, inits[i%len(inits)])
+		if err != nil {
+			t.Fatal(err)
 		}
+		cfg := fluidCfg()
+		cfg.Seed = uint64(1000 + i)
+		spec := Spec{
+			Substrate: &FluidSpec{Cfg: cfg, Senders: senders, Steps: steps},
+			Record:    true,
+		}
+		if mutate != nil {
+			mutate(i, &spec)
+		}
+		specs = append(specs, spec)
 	}
 	return specs
 }
 
-// runBothPaths evaluates the same grid through the batched path and the
-// per-cell (-nobatch) path and asserts bit-identical traces. The grid is
-// regenerated per run because substrates are single-use.
-func runBothPaths(t *testing.T, grid func() []Spec, cfg SweepConfig) []*Result {
+// gridSizes are the grid sizes every golden runs at: one cell per
+// (family, init) pair, which never shards, and a grid whose groups split
+// into two or more shards at 2 and 4 workers.
+var gridSizes = []int{2 * len(batchFamilies), 6 * minShardCells}
+
+// batchWorkers are the worker counts of the batched legs: auto-routed
+// (GOMAXPROCS, so `go test -cpu` varies it), serial, where every group
+// steps whole, and 2 and 4, where groups of the larger grid size shard.
+var batchWorkers = []int{0, 1, 2, 4}
+
+// legCounts is how far one SweepSpecs call advanced the batched and
+// fallback counters (zero while obs is disabled).
+type legCounts struct{ batched, fallback uint64 }
+
+func countLeg(f func()) legCounts {
+	b0, f0 := sweepCellsBatched.Value(), sweepCellsFallback.Value()
+	f()
+	return legCounts{sweepCellsBatched.Value() - b0, sweepCellsFallback.Value() - f0}
+}
+
+// runAllPaths evaluates the same grid through the per-cell (-nobatch)
+// path and through the batched path at every batchWorkers count, and
+// asserts bit-identical traces. The grid is regenerated per run because
+// substrates are single-use. Shards count cells, not groups, so the
+// batched legs must advance the counters identically at every worker
+// count; runAllPaths asserts that and returns the per-cell leg's and one
+// batched leg's advance.
+func runAllPaths(t *testing.T, grid func() []Spec) (res []*Result, scalarLeg, batchedLeg legCounts) {
 	t.Helper()
-	batched, err := SweepSpecs(context.Background(), grid(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb := cfg
-	nb.NoBatch = true
-	scalar, err := SweepSpecs(context.Background(), grid(), nb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batched) != len(scalar) {
-		t.Fatalf("result count %d != %d", len(batched), len(scalar))
-	}
-	for i := range batched {
-		if batched[i].Steps != scalar[i].Steps {
-			t.Fatalf("cell %d: steps %d != %d", i, batched[i].Steps, scalar[i].Steps)
+	var scalar []*Result
+	scalarLeg = countLeg(func() {
+		var err error
+		if scalar, err = SweepSpecs(context.Background(), grid(), SweepConfig{NoBatch: true}); err != nil {
+			t.Fatal(err)
 		}
-		equalTraces(t, batched[i].Trace, scalar[i].Trace)
+	})
+	for li, w := range batchWorkers {
+		var batched []*Result
+		leg := countLeg(func() {
+			var err error
+			if batched, err = SweepSpecs(context.Background(), grid(), SweepConfig{Workers: w}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if li == 0 {
+			batchedLeg = leg
+		} else if leg != batchedLeg {
+			t.Fatalf("workers=%d: counters advanced %+v, want %+v as at workers=%d", w, leg, batchedLeg, batchWorkers[0])
+		}
+		if len(batched) != len(scalar) {
+			t.Fatalf("workers=%d: result count %d != %d", w, len(batched), len(scalar))
+		}
+		for i := range batched {
+			if batched[i].Steps != scalar[i].Steps {
+				t.Fatalf("workers=%d cell %d: steps %d != %d", w, i, batched[i].Steps, scalar[i].Steps)
+			}
+			equalTraces(t, batched[i].Trace, scalar[i].Trace)
+		}
+		res = batched
 	}
-	return batched
+	return res, scalarLeg, batchedLeg
 }
 
 // TestSweepSpecsBitIdentityPlain is the plain column of the golden
@@ -82,15 +120,16 @@ func runBothPaths(t *testing.T, grid func() []Spec, cfg SweepConfig) []*Result {
 func TestSweepSpecsBitIdentityPlain(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
-	b0, f0 := sweepCellsBatched.Value(), sweepCellsFallback.Value()
-	res := runBothPaths(t, func() []Spec { return batchGrid(t, 300, nil) }, SweepConfig{Workers: 2})
-	n := uint64(len(res))
-	if got := sweepCellsBatched.Value() - b0; got != n {
-		t.Errorf("batched counter advanced %d, want %d", got, n)
-	}
-	// The -nobatch leg routed every fluid cell per-cell.
-	if got := sweepCellsFallback.Value() - f0; got != n {
-		t.Errorf("fallback counter advanced %d, want %d", got, n)
+	for _, n := range gridSizes {
+		res, scalar, batched := runAllPaths(t, func() []Spec { return batchGrid(t, n, 300, nil) })
+		all := uint64(len(res))
+		if batched != (legCounts{batched: all}) {
+			t.Errorf("n=%d: batched leg advanced %+v, want every cell batched", n, batched)
+		}
+		// The -nobatch leg routed every fluid cell per-cell.
+		if scalar != (legCounts{fallback: all}) {
+			t.Errorf("n=%d: -nobatch leg advanced %+v, want every cell fallback", n, scalar)
+		}
 	}
 }
 
@@ -113,35 +152,37 @@ func batchChaosSchedule() *chaos.Schedule {
 }
 
 // TestSweepSpecsBitIdentityChaos is the chaos column: cells sharing a
-// compiled schedule batch together (one shared injector) and must match
-// the per-cell path, where every cell compiles its own injector. Cells
-// with a different schedule or seed form separate groups.
+// compiled schedule batch together (one injector per shard) and must
+// match the per-cell path, where every cell compiles its own injector.
+// Cells with a different schedule or seed form separate groups; at the
+// larger grid size each group splits into two shards.
 func TestSweepSpecsBitIdentityChaos(t *testing.T) {
 	schedA, schedB := batchChaosSchedule(), batchChaosSchedule()
-	grid := func() []Spec {
-		return batchGrid(t, 300, func(i int, spec *Spec) {
-			// Three chaos groups: schedule A seed 1, schedule A seed 2,
-			// schedule B seed 1 — plus identical per-cell fluid seeds so
-			// only the chaos grouping varies.
-			switch i % 3 {
-			case 0:
-				spec.Chaos, spec.ChaosSeed = schedA, 1
-			case 1:
-				spec.Chaos, spec.ChaosSeed = schedA, 2
-			case 2:
-				spec.Chaos, spec.ChaosSeed = schedB, 1
-			}
-		})
-	}
 	obs.Enable()
 	defer obs.Disable()
-	b0 := sweepCellsBatched.Value()
-	res := runBothPaths(t, grid, SweepConfig{Workers: 2})
-	// All three chaos groups have ≥ 2 cells, so every cell of the batched
-	// leg must actually have batched — a silent fallback would compare
-	// per-cell against per-cell and prove nothing.
-	if got, want := sweepCellsBatched.Value()-b0, uint64(len(res)); got != want {
-		t.Errorf("batched counter advanced %d, want %d", got, want)
+	for _, n := range gridSizes {
+		grid := func() []Spec {
+			return batchGrid(t, n, 300, func(i int, spec *Spec) {
+				// Three chaos groups: schedule A seed 1, schedule A seed 2,
+				// schedule B seed 1 — plus identical per-cell fluid seeds so
+				// only the chaos grouping varies.
+				switch i % 3 {
+				case 0:
+					spec.Chaos, spec.ChaosSeed = schedA, 1
+				case 1:
+					spec.Chaos, spec.ChaosSeed = schedA, 2
+				case 2:
+					spec.Chaos, spec.ChaosSeed = schedB, 1
+				}
+			})
+		}
+		res, _, batched := runAllPaths(t, grid)
+		// All three chaos groups have ≥ 2 cells, so every cell of the
+		// batched legs must actually have batched — a silent fallback
+		// would compare per-cell against per-cell and prove nothing.
+		if got, want := batched.batched, uint64(len(res)); got != want {
+			t.Errorf("n=%d: batched counter advanced %d, want %d", n, got, want)
+		}
 	}
 }
 
@@ -149,14 +190,16 @@ func TestSweepSpecsBitIdentityChaos(t *testing.T) {
 // per-cell PacketLoss processes with distinct seeds, exercising the
 // per-cell RNG streams inside one batch.
 func TestSweepSpecsBitIdentityRandomLoss(t *testing.T) {
-	grid := func() []Spec {
-		return batchGrid(t, 300, func(i int, spec *Spec) {
-			fs := spec.Substrate.(*FluidSpec)
-			fs.Cfg.Loss = fluid.NewPacketLoss(0.003)
-			fs.Cfg.Seed = uint64(77 + i)
-		})
+	for _, n := range gridSizes {
+		grid := func() []Spec {
+			return batchGrid(t, n, 300, func(i int, spec *Spec) {
+				fs := spec.Substrate.(*FluidSpec)
+				fs.Cfg.Loss = fluid.NewPacketLoss(0.003)
+				fs.Cfg.Seed = uint64(77 + i)
+			})
+		}
+		runAllPaths(t, grid)
 	}
-	runBothPaths(t, grid, SweepConfig{Workers: 3})
 }
 
 // TestSweepSpecsCheckpointResume is the checkpoint/resume column: a
@@ -166,7 +209,7 @@ func TestSweepSpecsBitIdentityRandomLoss(t *testing.T) {
 // uninterrupted per-cell run.
 func TestSweepSpecsCheckpointResume(t *testing.T) {
 	ckpath := filepath.Join(t.TempDir(), "sweep.json")
-	grid := func() []Spec { return batchGrid(t, 300, nil) }
+	grid := func() []Spec { return batchGrid(t, gridSizes[0], 300, nil) }
 
 	// Phase 1: serial sweep, canceled after two cells completed.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -238,36 +281,35 @@ func TestSweepSpecsFallbackCoverage(t *testing.T) {
 		// Kernelized family, but unsynchronized feedback.
 		func() fluid.Sender { return fluid.Sender{Proto: protocol.Reno(), Init: 10, Period: 3, Phase: 1} },
 	}
-	grid := func() []Spec {
-		specs := batchGrid(t, 300, nil)
-		for i, mk := range nonBatchable {
-			cfg := fluidCfg()
-			cfg.Seed = uint64(5000 + i)
-			specs = append(specs, Spec{
-				Substrate: &FluidSpec{
-					Cfg:     cfg,
-					Senders: []fluid.Sender{mk(), {Proto: protocol.Reno(), Init: 1}},
-					Steps:   300,
-				},
-				Record: true,
-			})
-		}
-		return specs
-	}
-
 	obs.Enable()
 	defer obs.Disable()
-	b0, f0 := sweepCellsBatched.Value(), sweepCellsFallback.Value()
-	res := runBothPaths(t, grid, SweepConfig{Workers: 2})
-	batchable := uint64(len(res) - len(nonBatchable))
-	// Counter deltas include both legs: the batched leg splits the grid,
-	// the -nobatch leg routes everything to fallback.
-	if got := sweepCellsBatched.Value() - b0; got != batchable {
-		t.Errorf("batched counter advanced %d, want %d", got, batchable)
-	}
-	wantFallback := uint64(len(nonBatchable)) + uint64(len(res))
-	if got := sweepCellsFallback.Value() - f0; got != wantFallback {
-		t.Errorf("fallback counter advanced %d, want %d", got, wantFallback)
+	for _, n := range gridSizes {
+		grid := func() []Spec {
+			specs := batchGrid(t, n, 300, nil)
+			for i, mk := range nonBatchable {
+				cfg := fluidCfg()
+				cfg.Seed = uint64(5000 + i)
+				specs = append(specs, Spec{
+					Substrate: &FluidSpec{
+						Cfg:     cfg,
+						Senders: []fluid.Sender{mk(), {Proto: protocol.Reno(), Init: 1}},
+						Steps:   300,
+					},
+					Record: true,
+				})
+			}
+			return specs
+		}
+		res, scalar, batched := runAllPaths(t, grid)
+		all, fallback := uint64(len(res)), uint64(len(nonBatchable))
+		// The batched legs split the grid; the -nobatch leg routes
+		// everything to fallback.
+		if want := (legCounts{batched: all - fallback, fallback: fallback}); batched != want {
+			t.Errorf("n=%d: batched leg advanced %+v, want %+v", n, batched, want)
+		}
+		if want := (legCounts{fallback: all}); scalar != want {
+			t.Errorf("n=%d: -nobatch leg advanced %+v, want %+v", n, scalar, want)
+		}
 	}
 }
 
@@ -278,47 +320,71 @@ func TestSweepSpecsSingletonGroupFallsBack(t *testing.T) {
 	defer obs.Disable()
 	grid := func() []Spec {
 		// Two cells with different step counts → two singleton groups.
-		a := batchGrid(t, 200, nil)[:1]
-		b := batchGrid(t, 300, nil)[:1]
+		a := batchGrid(t, 1, 200, nil)
+		b := batchGrid(t, 1, 300, nil)
 		return append(a, b...)
 	}
-	b0, f0 := sweepCellsBatched.Value(), sweepCellsFallback.Value()
-	runBothPaths(t, grid, SweepConfig{Workers: 1})
-	if got := sweepCellsBatched.Value() - b0; got != 0 {
-		t.Errorf("batched counter advanced %d, want 0", got)
-	}
-	if got := sweepCellsFallback.Value() - f0; got != 4 {
-		t.Errorf("fallback counter advanced %d, want 4 (both cells, both legs)", got)
+	_, scalar, batched := runAllPaths(t, grid)
+	if want := (legCounts{fallback: 2}); scalar != want || batched != want {
+		t.Errorf("legs advanced %+v (-nobatch) and %+v (batched), want %+v each", scalar, batched, want)
 	}
 }
 
+// divergeAt is where TestSweepSpecsDivergenceFailsFast inserts its
+// diverging cell into the larger grid: past the middle, so at 2 workers
+// it lands in the second shard.
+const divergeAt = 60
+
 // TestSweepSpecsDivergenceFailsFast asserts a diverging batched cell
-// surfaces the same ErrDiverged failure the per-cell path produces.
+// surfaces the same ErrDiverged failure the per-cell path produces at
+// the same worker count, including when the cell sits in a later shard.
 func TestSweepSpecsDivergenceFailsFast(t *testing.T) {
-	grid := func() []Spec {
-		specs := batchGrid(t, 300, nil)
-		cfg := fluid.Config{Infinite: true, PropDelay: 0.021, MaxWindow: math.Inf(1)}
-		specs = append(specs, Spec{
-			Substrate: &FluidSpec{
-				Cfg: cfg,
-				Senders: []fluid.Sender{
-					{Proto: protocol.NewMIMD(10, 0.5), Init: 1e300},
-					{Proto: protocol.NewMIMD(10, 0.5), Init: 1e300},
+	for _, n := range gridSizes {
+		at := min(divergeAt, n)
+		grid := func() []Spec {
+			specs := batchGrid(t, n, 300, nil)
+			cfg := fluid.Config{Infinite: true, PropDelay: 0.021, MaxWindow: math.Inf(1)}
+			bad := Spec{
+				Substrate: &FluidSpec{
+					Cfg: cfg,
+					Senders: []fluid.Sender{
+						{Proto: protocol.NewMIMD(10, 0.5), Init: 1e300},
+						{Proto: protocol.NewMIMD(10, 0.5), Init: 1e300},
+					},
+					Steps: 300,
 				},
-				Steps: 300,
-			},
-		})
-		return specs
-	}
-	for _, nobatch := range []bool{false, true} {
-		_, err := SweepSpecs(context.Background(), grid(), SweepConfig{Workers: 1, NoBatch: nobatch})
-		if err == nil {
-			t.Fatalf("nobatch=%v: diverging grid returned nil error", nobatch)
+			}
+			return append(specs[:at], append([]Spec{bad}, specs[at:]...)...)
 		}
-		var de *fluid.DivergedError
-		if !errors.As(err, &de) {
-			t.Fatalf("nobatch=%v: error %v is not a DivergedError", nobatch, err)
+		if n > 2*minShardCells {
+			specs := grid()
+			idxs := make([]int, len(specs))
+			for i := range idxs {
+				idxs[i] = i
+			}
+			if shards := shardGroup(specs, idxs, 2); len(shards) != 2 || shards[1][0] > at {
+				t.Fatalf("n=%d: diverging cell %d is not in the second of shards %v", n, at, shards)
+			}
 		}
+		obs.Enable()
+		for _, w := range batchWorkers {
+			_, want := SweepSpecs(context.Background(), grid(), SweepConfig{Workers: w, NoBatch: true})
+			var de *fluid.DivergedError
+			if !errors.As(want, &de) {
+				t.Fatalf("n=%d workers=%d: per-cell error %v is not a DivergedError", n, w, want)
+			}
+			var err error
+			leg := countLeg(func() { _, err = SweepSpecs(context.Background(), grid(), SweepConfig{Workers: w}) })
+			if err == nil || err.Error() != want.Error() {
+				t.Fatalf("n=%d workers=%d: error %v, want %v", n, w, err, want)
+			}
+			// The diverging cell shares the grid's group: it must have
+			// diverged inside a batch, not on the per-cell path.
+			if leg.batched != uint64(n+1) {
+				t.Fatalf("n=%d workers=%d: batched counter advanced %d, want %d", n, w, leg.batched, n+1)
+			}
+		}
+		obs.Disable()
 	}
 }
 
@@ -366,21 +432,22 @@ func (c *stripCollector) ObserveStrip(s Strip) {
 // whether an observer takes whole strips (flow-major columns), takes the
 // per-step fallback, or runs on the per-cell path. 300 steps is not a
 // multiple of emitStrip, so the final partial strip — column compaction
-// and all — is exercised too, and the grid includes 3-sender cells so
-// column strides differ across the group.
+// and all — is exercised too, and the grid starts and ends with 3-sender
+// cells so column strides differ within the first and the last shard.
 func TestSweepSpecsStripObserverEquivalence(t *testing.T) {
 	const steps = 300
-	run := func(nobatch, strip bool) ([][]Step, int) {
-		specs := batchGrid(t, steps, nil)
-		for _, n := range []int{3, 3} {
-			senders, err := fluid.HomogeneousSenders(protocol.Reno(), n, []float64{1, 20, 40})
+	run := func(n, workers int, nobatch, strip bool) ([][]Step, int) {
+		wide := func() Spec {
+			senders, err := fluid.HomogeneousSenders(protocol.Reno(), 3, []float64{1, 20, 40})
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg := fluidCfg()
-			cfg.Seed = uint64(9000 + n)
-			specs = append(specs, Spec{Substrate: &FluidSpec{Cfg: cfg, Senders: senders, Steps: steps}})
+			cfg.Seed = 9003
+			return Spec{Substrate: &FluidSpec{Cfg: cfg, Senders: senders, Steps: steps}}
 		}
+		specs := append([]Spec{wide()}, batchGrid(t, n, steps, nil)...)
+		specs = append(specs, wide())
 		collectors := make([]*stripCollector, len(specs))
 		for i := range specs {
 			collectors[i] = &stripCollector{t: t}
@@ -391,7 +458,7 @@ func TestSweepSpecsStripObserverEquivalence(t *testing.T) {
 				specs[i].Observers = []Observer{&collectors[i].stepCollector}
 			}
 		}
-		if _, err := SweepSpecs(context.Background(), specs, SweepConfig{Workers: 2, NoBatch: nobatch}); err != nil {
+		if _, err := SweepSpecs(context.Background(), specs, SweepConfig{Workers: workers, NoBatch: nobatch}); err != nil {
 			t.Fatal(err)
 		}
 		out := make([][]Step, len(specs))
@@ -403,27 +470,31 @@ func TestSweepSpecsStripObserverEquivalence(t *testing.T) {
 		return out, strips
 	}
 
-	base, _ := run(true, false) // per-cell path: one Observe per step
-	for _, leg := range []struct {
-		name  string
-		strip bool
-	}{{"fallback", false}, {"strip", true}} {
-		got, strips := run(false, leg.strip)
-		if leg.strip && strips == 0 {
-			t.Fatal("strip leg delivered no strips; batched path not taken")
-		}
-		for i := range base {
-			if len(got[i]) != len(base[i]) {
-				t.Fatalf("%s leg cell %d: %d steps, want %d", leg.name, i, len(got[i]), len(base[i]))
-			}
-			for k := range base[i] {
-				g, w := got[i][k], base[i][k]
-				if g.Index != w.Index || g.Total != w.Total || g.RTT != w.RTT || g.Loss != w.Loss {
-					t.Fatalf("%s leg cell %d step %d: %+v, want %+v", leg.name, i, k, g, w)
+	for _, n := range gridSizes {
+		base, _ := run(n, 1, true, false) // per-cell path: one Observe per step
+		for _, w := range batchWorkers {
+			for _, leg := range []struct {
+				name  string
+				strip bool
+			}{{"fallback", false}, {"strip", true}} {
+				got, strips := run(n, w, false, leg.strip)
+				if leg.strip && strips == 0 {
+					t.Fatalf("n=%d workers=%d: strip leg delivered no strips; batched path not taken", n, w)
 				}
-				for f := range w.Windows {
-					if math.Float64bits(g.Windows[f]) != math.Float64bits(w.Windows[f]) {
-						t.Fatalf("%s leg cell %d step %d flow %d: window %v, want %v", leg.name, i, k, f, g.Windows[f], w.Windows[f])
+				for i := range base {
+					if len(got[i]) != len(base[i]) {
+						t.Fatalf("n=%d workers=%d %s leg cell %d: %d steps, want %d", n, w, leg.name, i, len(got[i]), len(base[i]))
+					}
+					for k := range base[i] {
+						g, want := got[i][k], base[i][k]
+						if g.Index != want.Index || g.Total != want.Total || g.RTT != want.RTT || g.Loss != want.Loss {
+							t.Fatalf("n=%d workers=%d %s leg cell %d step %d: %+v, want %+v", n, w, leg.name, i, k, g, want)
+						}
+						for f := range want.Windows {
+							if math.Float64bits(g.Windows[f]) != math.Float64bits(want.Windows[f]) {
+								t.Fatalf("n=%d workers=%d %s leg cell %d step %d flow %d: window %v, want %v", n, w, leg.name, i, k, f, g.Windows[f], want.Windows[f])
+							}
+						}
 					}
 				}
 			}
@@ -432,7 +503,8 @@ func TestSweepSpecsStripObserverEquivalence(t *testing.T) {
 }
 
 // TestRouteWorkers pins the auto-routing rules: explicit Workers wins;
-// otherwise min(GOMAXPROCS, n) with a serial floor.
+// otherwise min(GOMAXPROCS, n) with a serial floor. Its subtests pin how
+// runBatches then shards batch groups across those workers.
 func TestRouteWorkers(t *testing.T) {
 	cfg := SweepConfig{Workers: 3}
 	routeWorkers(100, &cfg)
@@ -453,5 +525,145 @@ func TestRouteWorkers(t *testing.T) {
 	routeWorkers(1<<20, &cfg)
 	if want := runtime.GOMAXPROCS(0); cfg.Workers != want {
 		t.Fatalf("large grid routed to %d workers, want GOMAXPROCS=%d", cfg.Workers, want)
+	}
+	t.Run("shardGroup", testShardGroup)
+	t.Run("groupSpans", testGroupSpans)
+}
+
+// flowSpecs builds planner-only specs: shardGroup reads nothing but each
+// cell's sender count.
+func flowSpecs(flows ...int) ([]Spec, []int) {
+	specs := make([]Spec, len(flows))
+	idxs := make([]int, len(flows))
+	for i, f := range flows {
+		specs[i] = Spec{Substrate: &FluidSpec{Senders: make([]fluid.Sender, f)}}
+		idxs[i] = i
+	}
+	return specs, idxs
+}
+
+// testShardGroup pins the planner: a group splits only when there is
+// more than one worker and every shard keeps minShardCells cells; shards
+// are contiguous, cover the group in order, and balance sender counts.
+func testShardGroup(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 15, 16, 31, 32, 33, 47, 48, 64, 96, 97, 200} {
+		for _, workers := range []int{1, 2, 3, 4, 8} {
+			for _, skewed := range []bool{false, true} {
+				flows := make([]int, n)
+				for i := range flows {
+					flows[i] = 2
+					if skewed && i < n/4 {
+						flows[i] = 8
+					}
+				}
+				specs, idxs := flowSpecs(flows...)
+				shards := shardGroup(specs, idxs, workers)
+				want := min(workers, n/minShardCells)
+				if want < 2 {
+					want = 1
+				}
+				if len(shards) != want {
+					t.Fatalf("n=%d workers=%d: %d shards, want %d", n, workers, len(shards), want)
+				}
+				next := 0
+				for _, sh := range shards {
+					if want > 1 && len(sh) < minShardCells {
+						t.Fatalf("n=%d workers=%d: shard of %d cells below minShardCells", n, workers, len(sh))
+					}
+					for _, i := range sh {
+						if i != next {
+							t.Fatalf("n=%d workers=%d: shards %v not contiguous in input order", n, workers, shards)
+						}
+						next++
+					}
+				}
+				if next != n {
+					t.Fatalf("n=%d workers=%d: shards cover %d of %d cells", n, workers, next, n)
+				}
+				if !skewed && len(shards) > 1 && len(shards[0])-len(shards[len(shards)-1]) > 1 {
+					t.Fatalf("n=%d workers=%d: uniform shards %d..%d cells, want within one", n, workers, len(shards[0]), len(shards[len(shards)-1]))
+				}
+			}
+		}
+	}
+	// Balance is by senders, not cells: 24 eight-sender cells then 72
+	// two-sender cells hold 168 senders on each side of cell 21.
+	flows := make([]int, 96)
+	for i := range flows {
+		flows[i] = 2
+		if i < 24 {
+			flows[i] = 8
+		}
+	}
+	specs, idxs := flowSpecs(flows...)
+	if shards := shardGroup(specs, idxs, 2); len(shards) != 2 || len(shards[0]) != 21 {
+		t.Fatalf("skewed 96-cell group split into %d shards (first %d cells), want 21 + 75", len(shards), len(shards[0]))
+	}
+}
+
+// groupCells returns the cell count of every engine.batch.group span on
+// the flight ring, parsing the "<cells> cells × <steps> steps" detail
+// the way the benchmark's trace ledger does.
+func groupCells(t *testing.T, steps int) []int {
+	t.Helper()
+	var cells []int
+	for _, e := range obs.FlightEvents() {
+		if e.Kind != "span" || e.Name != "engine.batch.group" {
+			continue
+		}
+		f := strings.Fields(e.Detail)
+		if len(f) != 5 || f[1] != "cells" || f[2] != "×" || f[4] != "steps" {
+			t.Fatalf("engine.batch.group detail %q does not parse", e.Detail)
+		}
+		c, err1 := strconv.Atoi(f[0])
+		s, err2 := strconv.Atoi(f[3])
+		if err1 != nil || err2 != nil || s != steps {
+			t.Fatalf("engine.batch.group detail %q: want %d steps", e.Detail, steps)
+		}
+		cells = append(cells, c)
+	}
+	sort.Ints(cells)
+	return cells
+}
+
+// testGroupSpans runs real sweeps and reads back their group spans: a
+// large grid shards at 2 workers, while a 3-run group (the size of
+// Characterize's groups) and a sweep nested inside a sweep cell never
+// split.
+func testGroupSpans(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	cases := []struct {
+		name string
+		run  func() error
+		want []int
+	}{
+		{"sharded", func() error {
+			_, err := SweepSpecs(context.Background(), batchGrid(t, 48, 300, nil), SweepConfig{Workers: 2})
+			return err
+		}, []int{24, 24}},
+		{"characterize", func() error {
+			_, err := SweepSpecs(context.Background(), batchGrid(t, 3, 300, nil), SweepConfig{Workers: 4})
+			return err
+		}, []int{3}},
+		{"nested", func() error {
+			_, err := Sweep(context.Background(), 2, SweepConfig{Workers: 2}, func(ctx context.Context, _ int, _ uint64) (*Result, error) {
+				if !InSweepCell(ctx) {
+					return nil, errors.New("cell context not marked as a sweep cell")
+				}
+				_, err := SweepSpecs(ctx, batchGrid(t, 48, 300, nil), SweepConfig{})
+				return nil, err
+			})
+			return err
+		}, []int{48, 48}},
+	}
+	for _, c := range cases {
+		obs.ResetFlight()
+		if err := c.run(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := groupCells(t, 300); !slices.Equal(got, c.want) {
+			t.Fatalf("%s: engine.batch.group spans of %v cells, want %v", c.name, got, c.want)
+		}
 	}
 }

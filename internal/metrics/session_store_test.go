@@ -250,7 +250,10 @@ func TestDefaultStoreInherited(t *testing.T) {
 
 // TestStoreDecodeRejectsGarbage ensures a payload that passes the
 // store's checksum but fails structural decoding falls back to
-// simulation instead of erroring out.
+// simulation instead of erroring out — including ring records whose
+// capacity or count no run produces — while the consistent ring shapes,
+// a full ring that has evicted samples and a partial ring within
+// ringSlack, still decode.
 func TestStoreDecodeRejectsGarbage(t *testing.T) {
 	for i, payload := range [][]byte{
 		nil,
@@ -260,6 +263,16 @@ func TestStoreDecodeRejectsGarbage(t *testing.T) {
 	} {
 		if _, _, err := decodeRun(payload, false); err == nil {
 			t.Fatalf("payload %d decoded without error", i)
+		}
+	}
+	for name, payload := range badRingPayloads {
+		if _, _, err := decodeRun(payload, false); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	for _, payload := range [][]byte{ringPayload(4, 10, 4), ringPayload(3+ringSlack, 3, 3)} {
+		if _, _, err := decodeRun(payload, false); err != nil {
+			t.Errorf("consistent ring payload rejected: %v", err)
 		}
 	}
 	// Kind mismatch both ways.

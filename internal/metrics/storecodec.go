@@ -75,6 +75,19 @@ func (d *decoder) f64() float64 {
 	return math.Float64frombits(d.u64())
 }
 
+// items reads an element count for a slice the caller is about to
+// allocate, where every element still to be decoded occupies at least
+// size payload bytes: a count the remaining bytes cannot hold is
+// malformed, so such slices stay bounded by the payload.
+func (d *decoder) items(size int) int {
+	n := d.u32()
+	if d.err == nil && n > (len(d.b)-d.off)/size {
+		d.fail()
+		return 0
+	}
+	return n
+}
+
 func (d *decoder) f64s() []float64 {
 	n := d.u32()
 	if d.err != nil || n < 0 || d.off+8*n > len(d.b) {
@@ -100,6 +113,31 @@ func encodeRing(b []byte, r *stats.Ring) []byte {
 	return putF64s(b, r.Dump())
 }
 
+// minRingBytes is the size of an encodeRing record retaining nothing:
+// capacity, count, and an empty sample list.
+const minRingBytes = 4 + 8 + 4
+
+// maxRingCap bounds a decoded ring's capacity: a stream sizes its rings
+// to the tail of its horizon plus horizonSlack, and the daemon caps
+// horizons at 1<<20 steps. A longer local run still scores; its payload
+// just never decodes, so it is re-simulated instead of served from disk.
+const maxRingCap = 1<<20 + horizonSlack
+
+// ringSlack is the most a stored ring's capacity may exceed the samples
+// it retains. Capacity beyond the retained samples is backed by no
+// payload bytes; a ring only has any when its run ended before filling
+// it. A stream sizes its rings to the tail of its horizon hint plus
+// horizonSlack, and a run falls short of that hint by no more than the
+// horizonSlack that absorbs the hint's error (the packet substrate
+// undershoots by up to 2 ticks), leaving at most 2·horizonSlack empty
+// slots.
+const ringSlack = 2 * horizonSlack
+
+// ring decodes one encodeRing record. A ring retains exactly
+// min(count, capacity) samples, so any other count is a malformed
+// payload, and capacity is bounded by the retained samples plus
+// ringSlack, so a hand-built payload cannot allocate more than it
+// carries.
 func (d *decoder) ring() *stats.Ring {
 	capacity := d.u32()
 	count := d.u64()
@@ -107,7 +145,9 @@ func (d *decoder) ring() *stats.Ring {
 	if d.err != nil {
 		return nil
 	}
-	if len(retained) > capacity {
+	n := len(retained)
+	if capacity > maxRingCap || n > capacity || capacity > n+ringSlack ||
+		count < uint64(n) || (n < capacity && count != uint64(n)) || count > math.MaxInt64 {
 		d.fail()
 		return nil
 	}
@@ -189,18 +229,16 @@ func decodeTopoRun(payload []byte) (*TopoStream, error) {
 		tailFrac: d.f64(),
 		linkCap:  d.f64s(),
 	}
-	flows := d.u32()
-	if d.err != nil || flows < 0 || flows > 1<<20 {
-		d.fail()
+	flows := d.items(8 + 4 + 3*minRingBytes)
+	if d.err != nil {
 		return nil, d.err
 	}
 	s.paths = make([][]int, flows)
 	s.baseRTT = make([]float64, flows)
 	for f := 0; f < flows; f++ {
 		s.baseRTT[f] = d.f64()
-		hops := d.u32()
-		if d.err != nil || hops < 0 || hops > 1<<20 {
-			d.fail()
+		hops := d.items(4)
+		if d.err != nil {
 			return nil, d.err
 		}
 		s.paths[f] = make([]int, hops)
@@ -255,9 +293,8 @@ func decodeRun(payload []byte, wantRecorded bool) (*Stream, *trace.Trace, error)
 			capacity: d.f64(),
 			baseRTT:  d.f64(),
 		}
-		flows := d.u32()
-		if d.err != nil || flows < 0 || flows > 1<<20 {
-			d.fail()
+		flows := d.items(2 * minRingBytes)
+		if d.err != nil {
 			return nil, nil, d.err
 		}
 		s.windows = make([]*stats.Ring, flows)
@@ -282,9 +319,8 @@ func decodeRun(payload []byte, wantRecorded bool) (*Stream, *trace.Trace, error)
 		}
 		capacity := d.f64()
 		baseRTT := d.f64()
-		n := d.u32()
-		if d.err != nil || n < 0 || n > 1<<20 {
-			d.fail()
+		n := d.items(4) // one f64s length per sender
+		if d.err != nil {
 			return nil, nil, d.err
 		}
 		windows := make([][]float64, n)
