@@ -52,3 +52,19 @@ func TestStreamObserveStripAllocFree(t *testing.T) {
 		t.Fatalf("Stream.ObserveStrip allocates %.2f times per strip, want 0", avg)
 	}
 }
+
+// TestNewStreamAllocsFlat pins NewStream's ring slab: every ring comes
+// from one backing array, so building a stream costs the same number of
+// allocations whatever its sender count.
+func TestNewStreamAllocsFlat(t *testing.T) {
+	allocs := func(flows int) float64 {
+		meta := engine.Meta{Flows: flows, Capacity: 100, BaseRTT: 0.042, Horizon: 1000}
+		return testing.AllocsPerRun(100, func() { NewStream(meta, DefaultTailFrac) })
+	}
+	one := allocs(1)
+	for _, flows := range []int{2, 8} {
+		if got := allocs(flows); got != one {
+			t.Fatalf("NewStream with %d flows allocates %v times, with 1 flow %v", flows, got, one)
+		}
+	}
+}

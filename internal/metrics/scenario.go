@@ -114,50 +114,62 @@ func (o Options) initConfigs(cfg fluid.Config, n int) [][]float64 {
 	return DefaultInitConfigs(cfg, n)
 }
 
-// streamRuns runs one streaming-observed engine run per initial
-// configuration — no trace is materialized — for the given per-sender
-// protocol slice (homogeneous estimators pass n copies of one protocol;
-// Friendliness passes its mix). Sender slices are built serially up front
-// (protocol cloning is not required to be goroutine-safe); the cells that
-// actually need simulating then go through engine.SweepSpecs as one grid,
-// so kernel-steppable cells advance in lockstep (the SoA batch path)
-// while the rest shard across the worker pool per cell. When o.Session is
-// set, identical runs are deduplicated through it before the grid is
-// built. Results are bit-identical on every path.
-func streamRuns(cfg fluid.Config, protos []protocol.Protocol, o Options, inits [][]float64) ([]*Stream, error) {
-	subs := make([]*engine.FluidSpec, len(inits))
-	keys := make([]string, len(inits))
-	cacheable := make([]bool, len(inits))
-	for i, init := range inits {
-		subs[i] = &engine.FluidSpec{Cfg: cfg, Senders: fluid.MixedSenders(protos, init), Steps: o.Steps}
-		keys[i], cacheable[i] = runKey(cfg, protos, init, o, false)
+// streamRuns is Resolve's one-set case: one streaming-observed engine
+// run per initial configuration for the given per-sender protocol slice
+// (homogeneous estimators pass n copies of one protocol; Friendliness
+// passes its mix). The estimators take no context, so neither does it.
+func streamRuns(cfg fluid.Config, protos []protocol.Protocol, o Options) ([]*Stream, error) {
+	streams, _, err := Resolve(context.TODO(), []RunSet{{Cfg: cfg, Protos: protos}}, o)
+	if err != nil {
+		return nil, err
 	}
-	exec := func(miss []int) ([]*Stream, error) {
-		specs := make([]engine.Spec, len(miss))
-		streams := make([]*Stream, len(miss))
-		for j, i := range miss {
-			streams[j] = NewStream(subs[i].Meta(), o.TailFrac)
-			specs[j] = engine.Spec{
-				Substrate: subs[i],
-				Observers: []engine.Observer{streams[j]},
-				Chaos:     o.Chaos,
-				ChaosSeed: o.ChaosSeed,
+	return streams[0], nil
+}
+
+// worstMin and worstMax reduce per-run scores to an estimator's worst
+// case over initial configurations: the minimum of a higher-is-better
+// metric, the maximum of a lower-is-better one.
+func worstMin(streams []*Stream, score func(*Stream) float64) float64 {
+	worst := math.Inf(1)
+	for _, s := range streams {
+		if v := score(s); v < worst {
+			worst = v
+		}
+	}
+	return worst
+}
+
+func worstMax(streams []*Stream, score func(*Stream) float64) float64 {
+	worst := 0.0
+	for _, s := range streams {
+		if v := score(s); v > worst {
+			worst = v
+		}
+	}
+	return worst
+}
+
+// WorstEfficiency is Efficiency's reduction over one run-set's streams:
+// the worst case of Stream.Efficiency.
+func WorstEfficiency(streams []*Stream) float64 {
+	return worstMin(streams, (*Stream).Efficiency)
+}
+
+// WorstFriendliness is Friendliness's reduction over the streams of a
+// run-set laid out as Friendliness lays it out: the first nP senders run
+// p, the rest q.
+func WorstFriendliness(streams []*Stream, nP int) float64 {
+	var pIdx, qIdx []int
+	if len(streams) > 0 {
+		for i := range streams[0].windows {
+			if i < nP {
+				pIdx = append(pIdx, i)
+			} else {
+				qIdx = append(qIdx, i)
 			}
 		}
-		if _, err := engine.SweepSpecs(context.Background(), specs, engine.SweepConfig{Workers: o.Workers}); err != nil {
-			return nil, err
-		}
-		return streams, nil
 	}
-	if o.Session == nil {
-		all := make([]int, len(inits))
-		for i := range all {
-			all[i] = i
-		}
-		return exec(all)
-	}
-	streams, _, err := o.Session.doBatch(keys, cacheable, o.Steps, exec)
-	return streams, err
+	return worstMin(streams, func(s *Stream) float64 { return s.Friendliness(pIdx, qIdx) })
 }
 
 // runStreams is streamRuns for n homogeneous p-senders over the default
@@ -170,41 +182,27 @@ func runStreams(cfg fluid.Config, p protocol.Protocol, n int, o Options) ([]*Str
 	for i := range protos {
 		protos[i] = p
 	}
-	return streamRuns(cfg, protos, o, o.initConfigs(cfg, n))
+	return streamRuns(cfg, protos, o)
 }
 
 // Efficiency estimates Metric I for n senders all running p on cfg: the
 // worst case over initial configurations of the tail's minimum X(t)/C.
 func Efficiency(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
-	o := opt.withDefaults()
-	streams, err := runStreams(cfg, p, n, o)
+	streams, err := runStreams(cfg, p, n, opt)
 	if err != nil {
 		return 0, err
 	}
-	worst := math.Inf(1)
-	for _, s := range streams {
-		if e := s.Efficiency(); e < worst {
-			worst = e
-		}
-	}
-	return worst, nil
+	return WorstEfficiency(streams), nil
 }
 
 // LossAvoidance estimates Metric III: the worst case over initial
 // configurations of the tail's maximum loss rate. Lower is better.
 func LossAvoidance(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
-	o := opt.withDefaults()
-	streams, err := runStreams(cfg, p, n, o)
+	streams, err := runStreams(cfg, p, n, opt)
 	if err != nil {
 		return 0, err
 	}
-	worst := 0.0
-	for _, s := range streams {
-		if l := s.LossAvoidance(); l > worst {
-			worst = l
-		}
-	}
-	return worst, nil
+	return worstMax(streams, (*Stream).LossAvoidance), nil
 }
 
 // Fairness estimates Metric IV: the worst case over initial configurations
@@ -213,36 +211,22 @@ func Fairness(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float6
 	if n < 2 {
 		return 0, fmt.Errorf("metrics: fairness needs ≥ 2 senders, got %d", n)
 	}
-	o := opt.withDefaults()
-	streams, err := runStreams(cfg, p, n, o)
+	streams, err := runStreams(cfg, p, n, opt)
 	if err != nil {
 		return 0, err
 	}
-	worst := math.Inf(1)
-	for _, s := range streams {
-		if f := s.Fairness(); f < worst {
-			worst = f
-		}
-	}
-	return worst, nil
+	return worstMin(streams, (*Stream).Fairness), nil
 }
 
 // Convergence estimates Metric V: the worst case over initial
 // configurations of the tail's containment around each sender's fixed
 // point.
 func Convergence(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
-	o := opt.withDefaults()
-	streams, err := runStreams(cfg, p, n, o)
+	streams, err := runStreams(cfg, p, n, opt)
 	if err != nil {
 		return 0, err
 	}
-	worst := math.Inf(1)
-	for _, s := range streams {
-		if c := s.Convergence(); c < worst {
-			worst = c
-		}
-	}
-	return worst, nil
+	return worstMin(streams, (*Stream).Convergence), nil
 }
 
 // FastUtilization estimates Metric II by running a single p-sender on an
@@ -387,30 +371,18 @@ func Friendliness(cfg fluid.Config, p, q protocol.Protocol, nP, nQ int, opt Opti
 	if nP <= 0 || nQ <= 0 {
 		return 0, fmt.Errorf("metrics: friendliness needs senders on both sides (nP=%d nQ=%d)", nP, nQ)
 	}
-	o := opt.withDefaults()
-	n := nP + nQ
-	protos := make([]protocol.Protocol, 0, n)
-	pIdx := make([]int, 0, nP)
-	qIdx := make([]int, 0, nQ)
+	protos := make([]protocol.Protocol, 0, nP+nQ)
 	for i := 0; i < nP; i++ {
-		pIdx = append(pIdx, len(protos))
 		protos = append(protos, p)
 	}
 	for i := 0; i < nQ; i++ {
-		qIdx = append(qIdx, len(protos))
 		protos = append(protos, q)
 	}
-	streams, err := streamRuns(cfg, protos, o, o.initConfigs(cfg, n))
+	streams, err := streamRuns(cfg, protos, opt)
 	if err != nil {
 		return 0, err
 	}
-	worst := math.Inf(1)
-	for _, st := range streams {
-		if f := st.Friendliness(pIdx, qIdx); f < worst {
-			worst = f
-		}
-	}
-	return worst, nil
+	return WorstFriendliness(streams, nP), nil
 }
 
 // TCPFriendliness estimates the paper's Metric VII specialization: p's
@@ -424,18 +396,11 @@ func TCPFriendliness(cfg fluid.Config, p protocol.Protocol, nP, nReno int, opt O
 // definition asks for "sufficiently large link capacity and buffer"; pass
 // a suitably provisioned cfg. Lower is better.
 func LatencyAvoidance(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
-	o := opt.withDefaults()
-	streams, err := runStreams(cfg, p, n, o)
+	streams, err := runStreams(cfg, p, n, opt)
 	if err != nil {
 		return 0, err
 	}
-	worst := 0.0
-	for _, s := range streams {
-		if l := s.LatencyAvoidance(); l > worst {
-			worst = l
-		}
-	}
-	return worst, nil
+	return worstMax(streams, (*Stream).LatencyAvoidance), nil
 }
 
 // Scores is a protocol's empirical position in the paper's 8-dimensional

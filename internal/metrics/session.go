@@ -632,18 +632,29 @@ type lossFingerprinter interface{ Fingerprint() string }
 // hexBits renders a float64 as the hex of its IEEE-754 bit pattern —
 // collision-free, unlike decimal formatting, and cheap to compare.
 func hexBits(sb *strings.Builder, v float64) {
-	sb.WriteString(strconv.FormatUint(math.Float64bits(v), 16))
+	var buf [16]byte
+	sb.Write(strconv.AppendUint(buf[:0], math.Float64bits(v), 16))
 }
 
-// runKey builds the canonical content address of one simulated run: the
-// defaulted link config, the per-sender protocol fingerprints and initial
-// windows (init cycled exactly as the sender builders cycle it), the
-// horizon, the chaos schedule + seed, and — for streamed runs — the tail
-// fraction baked into the Stream's rings. ok is false when any input
-// lacks a canonical identity; such runs must execute uncached.
-func runKey(cfg fluid.Config, protos []protocol.Protocol, init []float64, o Options, recorded bool) (key string, ok bool) {
+// runKeyer holds what the run keys of one run-set share: the link/options
+// prefix and each sender's protocol fingerprint. Building it once per set
+// leaves a per-initial-configuration key costing one string build. ok is
+// false when any input lacks a canonical identity; such runs must
+// execute uncached.
+type runKeyer struct {
+	prefix string
+	fps    []string
+	size   int // key length bound, for Grow
+	ok     bool
+}
+
+// newRunKeyer fingerprints everything in a run's content address except
+// its initial windows: the defaulted link config, the horizon, the chaos
+// schedule + seed, for streamed runs the tail fraction baked into the
+// Stream's rings, and the per-sender protocol fingerprints.
+func newRunKeyer(cfg fluid.Config, protos []protocol.Protocol, o Options, recorded bool) runKeyer {
 	if cfg.Perturb != nil || cfg.BandwidthSchedule != nil {
-		return "", false // opaque closures have no canonical identity
+		return runKeyer{} // opaque closures have no canonical identity
 	}
 	var sb strings.Builder
 	if recorded {
@@ -669,7 +680,7 @@ func runKey(cfg fluid.Config, protos []protocol.Protocol, init []float64, o Opti
 	if cfg.Loss != nil {
 		fp, ok := cfg.Loss.(lossFingerprinter)
 		if !ok {
-			return "", false
+			return runKeyer{}
 		}
 		sb.WriteString("loss=")
 		sb.WriteString(fp.Fingerprint())
@@ -678,7 +689,7 @@ func runKey(cfg fluid.Config, protos []protocol.Protocol, init []float64, o Opti
 	if o.Chaos != nil {
 		raw, err := json.Marshal(o.Chaos)
 		if err != nil {
-			return "", false
+			return runKeyer{}
 		}
 		sb.WriteString("chaos=")
 		sb.Write(raw)
@@ -686,12 +697,29 @@ func runKey(cfg fluid.Config, protos []protocol.Protocol, init []float64, o Opti
 		sb.WriteString(strconv.FormatUint(o.ChaosSeed, 16))
 		sb.WriteByte('|')
 	}
+	k := runKeyer{prefix: sb.String(), fps: make([]string, len(protos)), size: sb.Len(), ok: true}
 	for i, p := range protos {
 		f, ok := p.(protocol.Fingerprinter)
 		if !ok {
-			return "", false
+			return runKeyer{}
 		}
-		sb.WriteString(f.Fingerprint())
+		k.fps[i] = f.Fingerprint()
+		k.size += len(k.fps[i]) + 18 // '@', ≤16 hex digits, ';'
+	}
+	return k
+}
+
+// key completes the run key with the senders' initial windows, init
+// cycled exactly as the sender builders cycle it.
+func (k *runKeyer) key(init []float64) (string, bool) {
+	if !k.ok {
+		return "", false
+	}
+	var sb strings.Builder
+	sb.Grow(k.size)
+	sb.WriteString(k.prefix)
+	for i, fp := range k.fps {
+		sb.WriteString(fp)
 		sb.WriteByte('@')
 		w := protocol.MinWindow
 		if len(init) > 0 {
@@ -701,4 +729,12 @@ func runKey(cfg fluid.Config, protos []protocol.Protocol, init []float64, o Opti
 		sb.WriteByte(';')
 	}
 	return sb.String(), true
+}
+
+// runKey builds the canonical content address of one simulated run (see
+// newRunKeyer for what it covers). ok is false when any input lacks a
+// canonical identity.
+func runKey(cfg fluid.Config, protos []protocol.Protocol, init []float64, o Options, recorded bool) (key string, ok bool) {
+	k := newRunKeyer(cfg, protos, o, recorded)
+	return k.key(init)
 }

@@ -165,8 +165,8 @@ func encodeRun(stream *Stream, tr *trace.Trace) []byte {
 		b = putF64(b, stream.baseRTT)
 		b = putU32(b, len(stream.windows))
 		for i := range stream.windows {
-			b = encodeRing(b, stream.windows[i])
-			b = encodeRing(b, stream.goodput[i])
+			b = encodeRing(b, &stream.windows[i])
+			b = encodeRing(b, &stream.goodput[i])
 		}
 		b = encodeRing(b, stream.total)
 		b = encodeRing(b, stream.rtt)
@@ -297,15 +297,20 @@ func decodeRun(payload []byte, wantRecorded bool) (*Stream, *trace.Trace, error)
 		if d.err != nil {
 			return nil, nil, d.err
 		}
-		s.windows = make([]*stats.Ring, flows)
-		s.goodput = make([]*stats.Ring, flows)
-		for i := 0; i < flows; i++ {
-			s.windows[i] = d.ring()
-			s.goodput[i] = d.ring()
+		rings := make([]stats.Ring, 2*flows+3)
+		next := func(r *stats.Ring) {
+			if v := d.ring(); v != nil {
+				*r = *v
+			}
 		}
-		s.total = d.ring()
-		s.rtt = d.ring()
-		s.loss = d.ring()
+		for i := 0; i < flows; i++ {
+			next(&rings[i])
+			next(&rings[flows+i])
+		}
+		for i := 2 * flows; i < len(rings); i++ {
+			next(&rings[i]) // total, RTT, loss
+		}
+		s.setRings(rings)
 		if d.err != nil {
 			return nil, nil, d.err
 		}

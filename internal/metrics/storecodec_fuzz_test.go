@@ -112,7 +112,11 @@ func FuzzDecodeRun(f *testing.F) {
 		}
 		var again []byte
 		if st != nil {
-			checkRingBounds(t, payload, st.windows, st.goodput, []*stats.Ring{st.total, st.rtt, st.loss})
+			rings := []*stats.Ring{st.total, st.rtt, st.loss}
+			for i := range st.windows {
+				rings = append(rings, &st.windows[i], &st.goodput[i])
+			}
+			checkRingBounds(t, payload, rings)
 			again = encodeRun(st, nil)
 		} else {
 			again = encodeRun(nil, tr)

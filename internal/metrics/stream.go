@@ -19,8 +19,8 @@ type Stream struct {
 	tailFrac float64
 	capacity float64
 	baseRTT  float64
-	windows  []*stats.Ring
-	goodput  []*stats.Ring
+	windows  []stats.Ring // one per sender; with the rest, views of one slab (setRings)
+	goodput  []stats.Ring
 	total    *stats.Ring
 	rtt      *stats.Ring
 	loss     *stats.Ring
@@ -38,21 +38,19 @@ func NewStream(meta engine.Meta, tailFrac float64) *Stream {
 		tailFrac = DefaultTailFrac
 	}
 	capGoal := stats.TailLen(meta.Horizon, tailFrac) + horizonSlack
-	s := &Stream{
-		tailFrac: tailFrac,
-		capacity: meta.Capacity,
-		baseRTT:  meta.BaseRTT,
-		windows:  make([]*stats.Ring, meta.Flows),
-		goodput:  make([]*stats.Ring, meta.Flows),
-		total:    stats.NewRing(capGoal),
-		rtt:      stats.NewRing(capGoal),
-		loss:     stats.NewRing(capGoal),
-	}
-	for i := range s.windows {
-		s.windows[i] = stats.NewRing(capGoal)
-		s.goodput[i] = stats.NewRing(capGoal)
-	}
+	s := &Stream{tailFrac: tailFrac, capacity: meta.Capacity, baseRTT: meta.BaseRTT}
+	s.setRings(stats.NewRings(2*meta.Flows+3, capGoal))
 	return s
+}
+
+// setRings lays the stream's rings over rings, which holds 2·flows+3 of
+// them: every sender's window ring, every sender's goodput ring, then
+// the total, RTT and loss rings.
+func (s *Stream) setRings(rings []stats.Ring) {
+	f := (len(rings) - 3) / 2
+	s.windows = rings[:f:f]
+	s.goodput = rings[f : 2*f : 2*f]
+	s.total, s.rtt, s.loss = &rings[2*f], &rings[2*f+1], &rings[2*f+2]
 }
 
 // Observe implements engine.Observer.

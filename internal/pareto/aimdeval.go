@@ -17,20 +17,22 @@ import (
 // Both objectives are oriented higher-is-better, so results feed
 // Explore's dominance machinery directly.
 //
-// Each batch is resolved in two phases. First, metrics.Prefetch pushes
-// every run all the cells' estimator calls will need — the homogeneous
-// efficiency runs and the p-vs-Reno friendliness runs, over the default
-// initial configurations — through the session as one engine batch, so
-// cache misses across cells advance together on the SoA fast path
-// (AIMD is kernelized). Then the official metrics.Efficiency and
-// metrics.TCPFriendliness estimators score each cell from pure memory
-// hits, guaranteeing bit-identity with a dense characterization of the
-// same cells. A cell counts as Simulated when any of its prefetched
-// runs actually executed; on a warm store every flag is false.
+// Each batch is resolved in one pass. Cell i contributes two run-sets —
+// its homogeneous efficiency runs (set 2i) and its p-vs-Reno
+// friendliness runs (set 2i+1) — and metrics.Resolve pushes every run of
+// every cell through the session as one engine batch, so cache misses
+// across cells advance together on the SoA fast path (AIMD is
+// kernelized). Each cell is then scored from the streams Resolve handed
+// back, with the very reductions metrics.Efficiency and
+// metrics.TCPFriendliness apply to the same runs, so the coordinates are
+// bit-identical to those estimators'. A cell counts as Simulated when
+// any of its runs actually executed; on a warm store every flag is
+// false. ctx cancels a running batch.
 //
 // The evaluator owns a Session when opt doesn't carry one (inheriting
 // the process default store, if installed), so repeated rounds — and
-// repeated Explore calls against the same evaluator — share runs.
+// repeated Explore calls against the same evaluator — share runs. With
+// opt.NoCache every run simulates, uncached, in the same one batch.
 func AIMDEvaluator(cfg fluid.Config, opt metrics.Options) CellEvaluator {
 	if opt.Session == nil && !opt.NoCache {
 		opt.Session = metrics.NewSession()
@@ -39,45 +41,26 @@ func AIMDEvaluator(cfg fluid.Config, opt metrics.Options) CellEvaluator {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		protos := make([]protocol.Protocol, len(cells))
 		sets := make([]metrics.RunSet, 0, 2*len(cells))
-		for i, c := range cells {
+		for _, c := range cells {
 			if !(c.Alpha > 0) || !(c.Beta > 0) || !(c.Beta < 1) {
 				return nil, fmt.Errorf("pareto: AIMD cell (α=%v, β=%v) outside α>0, 0<β<1", c.Alpha, c.Beta)
 			}
 			p := protocol.NewAIMD(c.Alpha, c.Beta)
-			protos[i] = p
 			sets = append(sets,
 				metrics.RunSet{Cfg: cfg, Protos: []protocol.Protocol{p}},
 				metrics.RunSet{Cfg: cfg, Protos: []protocol.Protocol{p, protocol.Reno()}},
 			)
 		}
-		var sim []bool
-		if opt.Session != nil {
-			var err error
-			if sim, err = metrics.Prefetch(sets, opt); err != nil {
-				return nil, err
-			}
+		streams, sim, err := metrics.Resolve(ctx, sets, opt)
+		if err != nil {
+			return nil, err
 		}
-		// Post-prefetch estimator calls are session hits; keep them serial
-		// (Workers=1) rather than nesting a second worker pool.
-		cellOpt := opt
-		cellOpt.Workers = 1
 		out := make([]CellResult, len(cells))
 		for i := range cells {
-			eff, err := metrics.Efficiency(cfg, protos[i], 1, cellOpt)
-			if err != nil {
-				return nil, err
-			}
-			friendly, err := metrics.TCPFriendliness(cfg, protos[i], 1, 1, cellOpt)
-			if err != nil {
-				return nil, err
-			}
-			simulated := true // no session: every run executed
-			if sim != nil {
-				simulated = sim[2*i] || sim[2*i+1]
-			}
-			out[i] = CellResult{Coords: []float64{eff, friendly}, Simulated: simulated}
+			eff := metrics.WorstEfficiency(streams[2*i])
+			friendly := metrics.WorstFriendliness(streams[2*i+1], 1)
+			out[i] = CellResult{Coords: []float64{eff, friendly}, Simulated: sim[2*i] || sim[2*i+1]}
 		}
 		return out, nil
 	}

@@ -279,6 +279,22 @@ func NewRing(capacity int) *Ring {
 	return &Ring{buf: make([]float64, capacity)}
 }
 
+// NewRings returns n rings of the given capacity carved from one backing
+// array, so an observer that needs many equally sized rings pays two
+// allocations rather than two per ring. Each ring behaves exactly like
+// one from NewRing; none can write into another's samples.
+func NewRings(n, capacity int) []Ring {
+	if capacity < 0 {
+		capacity = 0
+	}
+	rings := make([]Ring, n)
+	buf := make([]float64, n*capacity)
+	for i := range rings {
+		rings[i].buf = buf[i*capacity : (i+1)*capacity : (i+1)*capacity]
+	}
+	return rings
+}
+
 // Push appends one sample, evicting the oldest retained sample when full.
 func (r *Ring) Push(v float64) {
 	if len(r.buf) > 0 {

@@ -368,3 +368,37 @@ func TestRingPushSliceBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// Rings carved from one slab behave like independent NewRing rings:
+// pushing far past capacity into one never touches its neighbours.
+func TestNewRingsIndependent(t *testing.T) {
+	const n, capacity = 4, 5
+	rings := NewRings(n, capacity)
+	refs := make([]*Ring, n)
+	for i := range refs {
+		refs[i] = NewRing(capacity)
+	}
+	for step := 0; step < 3*capacity+2; step++ {
+		for i := range rings {
+			v := float64(100*i + step)
+			rings[i].Push(v)
+			refs[i].Push(v)
+		}
+		rings[step%n].PushSlice([]float64{-1, -2, -3, -4, -5, -6, -7})
+		refs[step%n].PushSlice([]float64{-1, -2, -3, -4, -5, -6, -7})
+	}
+	for i := range rings {
+		if rings[i].Cap() != capacity || rings[i].Count() != refs[i].Count() {
+			t.Fatalf("ring %d: cap %d count %d, want %d and %d", i, rings[i].Cap(), rings[i].Count(), capacity, refs[i].Count())
+		}
+		got, want := rings[i].Dump(), refs[i].Dump()
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("ring %d retains %v, want %v", i, got, want)
+			}
+		}
+	}
+	if rs := NewRings(3, -1); len(rs) != 3 || rs[0].Cap() != 0 {
+		t.Fatal("negative capacity must clamp to zero, as NewRing does")
+	}
+}
