@@ -27,6 +27,8 @@
 //     and theorem bounds (Theorem1Bound, Theorem2Bound, Theorem3Bound).
 //   - Pareto machinery (§5.2, Figure 1): Dominates, Frontier,
 //     Figure1Surface.
+//   - The network-wide model (§6): NewTopology / TopoParkingLot and the
+//     other Topo* builders run the fluid model over a network of links.
 //
 // A minimal session:
 //
@@ -49,7 +51,6 @@ import (
 	"repro/internal/fluid"
 	"repro/internal/game"
 	"repro/internal/metrics"
-	"repro/internal/multilink"
 	"repro/internal/nettopo"
 	"repro/internal/packetsim"
 	"repro/internal/pareto"
@@ -218,37 +219,11 @@ var (
 
 // ---- Network-wide model (§6 extension) ----
 
-// Multilink types: the fluid model generalized to a network of links.
-type (
-	// NetLinkSpec describes one link of a multilink network.
-	NetLinkSpec = multilink.LinkSpec
-	// NetFlowSpec is one flow and its path through the network.
-	NetFlowSpec = multilink.FlowSpec
-	// Network is a multilink fluid network.
-	Network = multilink.Network
-	// NetworkResult is a recorded multilink run.
-	NetworkResult = multilink.Result
-	// NetworkOption tweaks network construction.
-	NetworkOption = multilink.Option
-)
-
-var (
-	// NewNetwork builds a multilink network.
-	NewNetwork = multilink.New
-	// ParkingLot builds the canonical k-hop parking-lot scenario.
-	ParkingLot = multilink.ParkingLot
-	// WithStochasticLoss samples per-flow loss observation (needed for
-	// the parking-lot bias of magnitude-insensitive protocols).
-	WithStochasticLoss = multilink.WithStochasticLoss
-	// WithNetMaxWindow caps windows in a multilink network.
-	WithNetMaxWindow = multilink.WithMaxWindow
-)
-
-// ---- Arbitrary DAG topologies (§6 generalized) ----
-
-// Nettopo types: the multilink model generalized to arbitrary DAG
-// topologies with named endpoints and per-flow extra RTT. A linear
-// chain is bit-identical to the multilink parking lot.
+// Nettopo types: the fluid model generalized to a network of links, per
+// Briat et al.'s conservation-law construction. Links may be anonymous
+// (free-form paths, as in a parking lot) or name their endpoints, in
+// which case the network must be a DAG and every path contiguous; flows
+// may carry a private extra RTT.
 type (
 	// TopoLinkSpec describes one directed link (optional src/dst names).
 	TopoLinkSpec = nettopo.LinkSpec
@@ -286,7 +261,7 @@ var (
 
 // The engine runs any of the three simulators behind one interface:
 // build a substrate spec (EngineFluidSpec, EnginePacketSpec,
-// EngineNetSpec), wrap it in an EngineSpec with optional streaming
+// EngineTopoSpec), wrap it in an EngineSpec with optional streaming
 // observers, and call EngineRun. EngineSweep shards independent cells
 // across a worker pool with deterministic per-cell seeds.
 type (
@@ -315,9 +290,7 @@ type (
 	EngineFluidSpec = engine.FluidSpec
 	// EnginePacketSpec adapts the packet-level testbed.
 	EnginePacketSpec = engine.PacketSpec
-	// EngineNetSpec adapts the §6 multilink network.
-	EngineNetSpec = engine.NetSpec
-	// EngineTopoSpec adapts the DAG topology substrate.
+	// EngineTopoSpec adapts the §6 network (nettopo) substrate.
 	EngineTopoSpec = engine.TopoSpec
 	// SweepConfig tunes EngineSweep (workers, base seed, progress).
 	SweepConfig = engine.SweepConfig

@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -124,5 +126,34 @@ func TestParkingLotExperimentDefaults(t *testing.T) {
 	}
 	if len(entries) != 4 {
 		t.Fatalf("default hops = %d entries, want 4", len(entries))
+	}
+}
+
+// parkingLotGoldenText renders the sweep as reproduce -exp parkinglot
+// prints it, followed by the exact IEEE-754 bits of every ratio.
+func parkingLotGoldenText(entries []ParkingLotEntry) string {
+	var sb strings.Builder
+	sb.WriteString(RenderParkingLot(entries))
+	for _, e := range entries {
+		fmt.Fprintf(&sb, "hops %d window=%016x goodput=%016x util=%016x\n", e.Hops,
+			math.Float64bits(e.WindowRatio), math.Float64bits(e.GoodputRatio), math.Float64bits(e.LinkUtil))
+	}
+	return sb.String()
+}
+
+// TestParkingLotGolden pins reproduce -exp parkinglot's default sweep
+// (hops 1–4, 4000 steps, seed 7) byte for byte: any change to the
+// network model's arithmetic, RNG order or tail statistics breaks it.
+func TestParkingLotGolden(t *testing.T) {
+	entries, err := ParkingLotExperiment([]int{1, 2, 3, 4}, 4000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/parkinglot.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := parkingLotGoldenText(entries); got != string(want) {
+		t.Errorf("parking-lot sweep drifted from the golden:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -132,7 +132,7 @@ func (s *TopoStream) AvgWindow(f int) float64 {
 }
 
 // AvgGoodput returns flow f's mean tail goodput (MSS/s), computed with
-// the same guarded w·(1−loss)/RTT samples as multilink.Result.AvgGoodput.
+// the same guarded w·(1−loss)/RTT samples as nettopo.Result.AvgGoodput.
 func (s *TopoStream) AvgGoodput(f int) float64 {
 	return stats.Mean(s.goodput[f].LastTail(s.tailFrac))
 }

@@ -10,8 +10,8 @@ import (
 func nodeName(prefix string, i int) string { return fmt.Sprintf("%s%d", prefix, i) }
 
 // LinearChain returns k copies of link wired in a row through named nodes
-// n0 → n1 → … → nk, the shape on which nettopo is bit-identical to
-// multilink.
+// n0 → n1 → … → nk. It steps bit-identically to the same chain of
+// anonymous links; naming only adds the wiring checks.
 func LinearChain(k int, link LinkSpec) ([]LinkSpec, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("nettopo: linear chain needs ≥ 1 hop, got %d", k)

@@ -3,9 +3,11 @@ package nettopo
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
-	"repro/internal/multilink"
+	"repro/internal/fluid"
 	"repro/internal/protocol"
+	"repro/internal/stats"
 )
 
 // oneLink is a 100-MSS-capacity link matching the fluid tests' setup.
@@ -28,13 +30,26 @@ func renoFlow(path ...int) FlowSpec {
 	return FlowSpec{Proto: protocol.Reno(), Init: 1, Path: path}
 }
 
-func TestValidation(t *testing.T) {
+type invalidCase struct {
+	name  string
+	links []LinkSpec
+	flows []FlowSpec
+}
+
+func expectRejected(t *testing.T, cases []invalidCase) {
+	t.Helper()
+	for _, c := range cases {
+		if _, err := New(c.links, c.flows); err == nil {
+			t.Errorf("%s: invalid network accepted", c.name)
+		}
+	}
+}
+
+// TestAnonymousLinkValidation covers the errors a network of anonymous links
+// can make: empty inputs, a bad link, a bad flow or a bad path.
+func TestAnonymousLinkValidation(t *testing.T) {
 	good := oneLink()
-	cases := []struct {
-		name  string
-		links []LinkSpec
-		flows []FlowSpec
-	}{
+	expectRejected(t, []invalidCase{
 		{"no links", nil, []FlowSpec{renoFlow(0)}},
 		{"no flows", []LinkSpec{good}, nil},
 		{"zero bandwidth", []LinkSpec{{Bandwidth: 0, PropDelay: 1}}, []FlowSpec{renoFlow(0)}},
@@ -42,6 +57,13 @@ func TestValidation(t *testing.T) {
 		{"empty path", []LinkSpec{good}, []FlowSpec{{Proto: protocol.Reno(), Init: 1}}},
 		{"unknown link", []LinkSpec{good}, []FlowSpec{renoFlow(1)}},
 		{"repeated link", []LinkSpec{good}, []FlowSpec{renoFlow(0, 0)}},
+	})
+}
+
+// TestValidation covers the errors of extra RTT and of named topologies.
+func TestValidation(t *testing.T) {
+	good := oneLink()
+	expectRejected(t, []invalidCase{
 		{"negative extra rtt", []LinkSpec{good}, []FlowSpec{{Proto: protocol.Reno(), Init: 1, Path: []int{0}, ExtraRTT: -1}}},
 		{"half-named link", []LinkSpec{{Bandwidth: 1, PropDelay: 1, Src: "a"}}, []FlowSpec{renoFlow(0)}},
 		{"self-loop", []LinkSpec{{Bandwidth: 1, PropDelay: 1, Src: "a", Dst: "a"}}, []FlowSpec{renoFlow(0)}},
@@ -52,12 +74,7 @@ func TestValidation(t *testing.T) {
 			[]FlowSpec{renoFlow(0, 1)}},
 		{"backwards path", []LinkSpec{namedLink("a", "b"), namedLink("b", "c")},
 			[]FlowSpec{renoFlow(1, 0)}},
-	}
-	for _, c := range cases {
-		if _, err := New(c.links, c.flows); err == nil {
-			t.Errorf("%s: invalid network accepted", c.name)
-		}
-	}
+	})
 }
 
 func TestNamedTopologyAccepted(t *testing.T) {
@@ -139,60 +156,325 @@ func TestExtraRTTShiftsBaseRTT(t *testing.T) {
 	}
 }
 
-// TestChainMatchesMultilink is the in-package half of the parity anchor:
-// an anonymous-link nettopo network and a multilink network with the same
-// specs produce bit-identical trajectories, stochastic mode included.
-func TestChainMatchesMultilink(t *testing.T) {
-	const hops, steps = 3, 800
-	link := oneLink()
-	mlLinks := make([]multilink.LinkSpec, hops)
-	ntLinks := make([]LinkSpec, hops)
-	for i := 0; i < hops; i++ {
-		mlLinks[i] = multilink.LinkSpec{Bandwidth: link.Bandwidth, PropDelay: link.PropDelay, Buffer: link.Buffer}
-		ntLinks[i] = link
-	}
-	long := []int{0, 1, 2}
-	mlFlows := []multilink.FlowSpec{{Proto: protocol.Reno(), Init: 1, Path: long}}
-	ntFlows := []FlowSpec{{Proto: protocol.Reno(), Init: 1, Path: long}}
-	for i := 0; i < hops; i++ {
-		mlFlows = append(mlFlows, multilink.FlowSpec{Proto: protocol.NewAIMD(1, 0.7), Init: 30, Path: []int{i}})
-		ntFlows = append(ntFlows, FlowSpec{Proto: protocol.NewAIMD(1, 0.7), Init: 30, Path: []int{i}})
-	}
-	for _, seed := range []uint64{0, 7} {
-		var mlOpts []multilink.Option
-		var ntOpts []Option
-		name := "deterministic"
-		if seed != 0 {
-			mlOpts = append(mlOpts, multilink.WithStochasticLoss(seed))
-			ntOpts = append(ntOpts, WithStochasticLoss(seed))
-			name = "stochastic"
+// TestSingleLinkMatchesFluid is the differential oracle between the two
+// substrates' shared model: a one-link network with synchronized senders,
+// no loss process and no chaos reproduces fluid.Link's trajectory bit for
+// bit — windows, per-sender loss and RTT, every step.
+func TestSingleLinkMatchesFluid(t *testing.T) {
+	const steps = 5000
+	spec := oneLink()
+	for _, c := range []struct {
+		name  string
+		proto func() protocol.Protocol
+	}{
+		{"reno", func() protocol.Protocol { return protocol.Reno() }},
+		{"mimd", func() protocol.Protocol { return protocol.NewMIMD(1.01, 0.8) }},
+	} {
+		inits := []float64{1, 60}
+		flows := make([]FlowSpec, len(inits))
+		senders := make([]fluid.Sender, len(inits))
+		for i, init := range inits {
+			flows[i] = FlowSpec{Proto: c.proto(), Init: init, Path: []int{0}}
+			senders[i] = fluid.Sender{Proto: c.proto(), Init: init}
 		}
-		ml, err := multilink.New(mlLinks, mlFlows, mlOpts...)
+		net, err := New([]LinkSpec{spec}, flows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nt, err := New(ntLinks, ntFlows, ntOpts...)
+		fl := fluid.MustNew(fluid.Config{
+			Bandwidth: spec.Bandwidth,
+			PropDelay: spec.PropDelay,
+			Buffer:    spec.Buffer,
+		}, senders...)
+		for step := 0; step < steps; step++ {
+			nres := net.Step()
+			fres := fl.Step()
+			for i := range inits {
+				if nres.Windows[i] != fres.Windows[i] {
+					t.Fatalf("%s: step %d flow %d: nettopo window %v != fluid %v",
+						c.name, step, i, nres.Windows[i], fres.Windows[i])
+				}
+				if nres.FlowLoss[i] != fres.Loss[i] {
+					t.Fatalf("%s: step %d flow %d: nettopo loss %v != fluid %v",
+						c.name, step, i, nres.FlowLoss[i], fres.Loss[i])
+				}
+				if nres.FlowRTT[i] != fres.RTT {
+					t.Fatalf("%s: step %d flow %d: nettopo rtt %v != fluid %v",
+						c.name, step, i, nres.FlowRTT[i], fres.RTT)
+				}
+			}
+		}
+	}
+}
+
+// TestAnonymousChainMatchesNamed: naming a chain's endpoints only adds
+// wiring checks. An anonymous-link chain (the scenario "multilink" model
+// and the parking-lot experiment) and the named LinearChain that
+// ParkingLot builds step bit-identically, stochastic mode included.
+func TestAnonymousChainMatchesNamed(t *testing.T) {
+	const hops, steps = 3, 800
+	named, err := LinearChain(hops, oneLink())
+	if err != nil {
+		t.Fatal(err)
+	}
+	anon := make([]LinkSpec, hops)
+	for i := range anon {
+		anon[i] = oneLink()
+	}
+	flowSpecs := func() []FlowSpec {
+		flows := []FlowSpec{{Proto: protocol.Reno(), Init: 1, Path: []int{0, 1, 2}}}
+		for i := 0; i < hops; i++ {
+			flows = append(flows, FlowSpec{Proto: protocol.NewAIMD(1, 0.7), Init: 30, Path: []int{i}})
+		}
+		return flows
+	}
+	for _, seed := range []uint64{0, 7} {
+		var opts []Option
+		name := "deterministic"
+		if seed != 0 {
+			opts = append(opts, WithStochasticLoss(seed))
+			name = "stochastic"
+		}
+		a, err := New(anon, flowSpecs(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := New(named, flowSpecs(), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for s := 0; s < steps; s++ {
-			mr := ml.Step()
-			nr := nt.Step()
-			for f := range ntFlows {
-				if mr.Windows[f] != nr.Windows[f] {
-					t.Fatalf("%s: step %d flow %d window diverged: multilink %v, nettopo %v",
-						name, s, f, mr.Windows[f], nr.Windows[f])
-				}
-				if mr.FlowLoss[f] != nr.FlowLoss[f] || mr.FlowRTT[f] != nr.FlowRTT[f] {
-					t.Fatalf("%s: step %d flow %d feedback diverged", name, s, f)
+			ar, nr := a.Step(), n.Step()
+			for f := range ar.Windows {
+				if ar.Windows[f] != nr.Windows[f] || ar.FlowLoss[f] != nr.FlowLoss[f] || ar.FlowRTT[f] != nr.FlowRTT[f] {
+					t.Fatalf("%s: step %d flow %d diverged", name, s, f)
 				}
 			}
-			for l := range ntLinks {
-				if mr.LinkLoss[l] != nr.LinkLoss[l] || mr.LinkLoad[l] != nr.LinkLoad[l] {
-					t.Fatalf("%s: step %d link %d state diverged", name, s, l)
+			for l := range ar.LinkLoad {
+				if ar.LinkLoss[l] != nr.LinkLoss[l] || ar.LinkLoad[l] != nr.LinkLoad[l] {
+					t.Fatalf("%s: step %d link %d diverged", name, s, l)
 				}
 			}
 		}
+	}
+}
+
+// TestParkingLotDeterministicSymmetry documents a property of the
+// synchronized deterministic model: because AIMD reacts only to the
+// presence of loss and all flows on a shared bottleneck see loss at
+// identical steps, the long flow's WINDOW matches the short flows' —
+// path length shows up in goodput (double RTT), not in the window.
+func TestParkingLotDeterministicSymmetry(t *testing.T) {
+	net, err := ParkingLot(2, oneLink(), protocol.Reno(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := net.Run(4000)
+	long := res.AvgWindow(0, 0.75)
+	short := res.AvgWindow(1, 0.75)
+	if r := long / short; math.Abs(r-1) > 0.05 {
+		t.Fatalf("deterministic parking lot window ratio = %v, want ≈ 1", r)
+	}
+	// Goodput halves with the doubled path RTT.
+	gr := res.AvgGoodput(0, 0.75) / res.AvgGoodput(1, 0.75)
+	if gr > 0.6 || gr < 0.4 {
+		t.Fatalf("goodput ratio = %v, want ≈ 0.5 (double RTT)", gr)
+	}
+}
+
+// TestParkingLotBias reproduces the classic network-wide result under
+// stochastic loss observation: the long flow crossing k congested links
+// is beaten below the short flows' share, and the bias grows with k.
+func TestParkingLotBias(t *testing.T) {
+	shareAt := func(k int) float64 {
+		net, err := ParkingLot(k, oneLink(), protocol.Reno(), 1, WithStochasticLoss(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := net.Run(6000)
+		long := res.AvgWindow(0, 0.75)
+		short := 0.0
+		for i := 1; i <= k; i++ {
+			short += res.AvgWindow(i, 0.75)
+		}
+		return long / (short / float64(k))
+	}
+	two := shareAt(2)
+	four := shareAt(4)
+	if two >= 0.95 {
+		t.Fatalf("2-hop long flow got window ratio %v, want < 1", two)
+	}
+	if four >= two {
+		t.Fatalf("bias did not grow with hops: 2-hop %v, 4-hop %v", two, four)
+	}
+}
+
+// TestStochasticDeterministicPerSeed ensures stochastic mode replays.
+func TestStochasticDeterministicPerSeed(t *testing.T) {
+	run := func() float64 {
+		net, err := ParkingLot(2, oneLink(), protocol.Reno(), 1, WithStochasticLoss(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net.Run(1000).AvgWindow(0, 0.5)
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("same-seed stochastic runs diverged: %v vs %v", a, b)
+	}
+}
+
+func TestParkingLotUtilization(t *testing.T) {
+	net, err := ParkingLot(3, oneLink(), protocol.Reno(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := net.Run(3000)
+	for l := 0; l < 3; l++ {
+		if u := res.LinkUtilization(l, 0.75); u < 0.6 || u > 1.3 {
+			t.Errorf("link %d utilization = %v", l, u)
+		}
+	}
+}
+
+// TestLossComposition checks the per-flow loss composition: a flow's loss
+// is exactly 1 − Π(1 − L_l) over its path (independent drops per link),
+// hence at least each of its links' and at most their sum.
+func TestLossComposition(t *testing.T) {
+	// Overload two links with MIMD to force simultaneous loss.
+	net, err := ParkingLot(2, oneLink(), protocol.Scalable(), 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := net.Run(500)
+	both := 0
+	for s := 0; s < res.Steps; s++ {
+		l0, l1 := res.LinkLoss[0][s], res.LinkLoss[1][s]
+		fl := res.FlowLoss[0][s] // long flow crosses both
+		if want := 1 - (1-l0)*(1-l1); fl != want {
+			t.Fatalf("step %d: composed loss %v, want 1−(1−%v)(1−%v) = %v", s, fl, l0, l1, want)
+		}
+		if fl < math.Max(l0, l1)-1e-12 {
+			t.Fatalf("step %d: composed loss %v below max(link)=%v", s, fl, math.Max(l0, l1))
+		}
+		if fl > l0+l1+1e-12 {
+			t.Fatalf("step %d: composed loss %v above sum %v", s, fl, l0+l1)
+		}
+		if l0 > 0 && l1 > 0 {
+			both++
+		}
+	}
+	if both == 0 {
+		t.Fatal("no step lost on both links; the composition was never exercised")
+	}
+}
+
+// TestRTTAddsAlongPath checks delay composition.
+func TestRTTAddsAlongPath(t *testing.T) {
+	spec := oneLink()
+	net, err := New([]LinkSpec{spec, spec}, []FlowSpec{renoFlow(0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := net.Step()
+	want := 2 * 2 * spec.PropDelay // two links, each contributing 2Θ
+	if math.Abs(res.FlowRTT[0]-want) > 1e-12 {
+		t.Fatalf("path RTT = %v, want %v", res.FlowRTT[0], want)
+	}
+}
+
+func TestHeterogeneousProtocolsAcrossNetwork(t *testing.T) {
+	// A Scalable flow and a Reno flow share link 0; Scalable wins there
+	// while an unrelated Reno pair shares link 1 fairly.
+	spec := oneLink()
+	net, err := New([]LinkSpec{spec, spec}, []FlowSpec{
+		{Proto: protocol.Scalable(), Init: 10, Path: []int{0}},
+		{Proto: protocol.Reno(), Init: 10, Path: []int{0}},
+		{Proto: protocol.Reno(), Init: 1, Path: []int{1}},
+		{Proto: protocol.Reno(), Init: 80, Path: []int{1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := net.Run(3000)
+	if res.AvgWindow(0, 0.75) <= res.AvgWindow(1, 0.75) {
+		t.Error("Scalable did not beat Reno on link 0")
+	}
+	a, b := res.AvgWindow(2, 0.75), res.AvgWindow(3, 0.75)
+	if r := math.Min(a, b) / math.Max(a, b); r < 0.85 {
+		t.Errorf("link 1 Reno pair unfair: %v", r)
+	}
+}
+
+func TestGoodputAccountsForLossAndRTT(t *testing.T) {
+	net, err := ParkingLot(2, oneLink(), protocol.Reno(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := net.Run(2000)
+	long := res.AvgGoodput(0, 0.75)
+	short := res.AvgGoodput(1, 0.75)
+	if long <= 0 || short <= 0 {
+		t.Fatalf("non-positive goodputs: %v %v", long, short)
+	}
+	if long >= short {
+		t.Errorf("long flow goodput %v ≥ short %v", long, short)
+	}
+}
+
+// Property: the network never produces loss outside [0,1) or
+// non-positive RTTs, across random parking-lot sizes and initial windows.
+func TestQuickStepBounds(t *testing.T) {
+	f := func(kRaw, initRaw uint8) bool {
+		k := int(kRaw%4) + 1
+		init := float64(initRaw%200) + 1
+		net, err := ParkingLot(k, oneLink(), protocol.Reno(), init)
+		if err != nil {
+			return false
+		}
+		for s := 0; s < 100; s++ {
+			res := net.Step()
+			for _, l := range res.FlowLoss {
+				if l < 0 || l >= 1 {
+					return false
+				}
+			}
+			for _, r := range res.FlowRTT {
+				if r <= 0 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTailStats sanity-checks the Result helpers on a known trace.
+func TestTailStats(t *testing.T) {
+	net, err := ParkingLot(1, oneLink(), protocol.Reno(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := net.Run(1000)
+	if got := res.AvgWindow(0, 0.75); got <= 0 {
+		t.Fatalf("AvgWindow = %v", got)
+	}
+	// Tail utilization of the single link ≈ the fluid single-link case
+	// with two senders (the parking lot adds one short flow): ≥ 0.6.
+	if u := res.LinkUtilization(0, 0.75); u < 0.6 {
+		t.Fatalf("utilization = %v", u)
+	}
+	// Loss series bounded.
+	if mx := stats.Max(res.LinkLoss[0]); mx >= 1 {
+		t.Fatalf("max link loss = %v", mx)
+	}
+}
+
+func TestParkingLotValidation(t *testing.T) {
+	if _, err := ParkingLot(0, oneLink(), protocol.Reno(), 1); err == nil {
+		t.Fatal("0-hop parking lot accepted")
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package scenario loads and runs experiment descriptions from JSON, so
 // that scenarios are shareable artifacts rather than code: a spec selects
-// one of the four simulators (the §2 fluid model, the packet-level
-// testbed, the §6 multilink chain, or the nettopo DAG substrate),
+// one of three simulators (the §2 fluid model, the packet-level testbed,
+// or the §6 nettopo network, either as a named DAG — model "nettopo" — or
+// as anonymous links with free-form paths — model "multilink"),
 // describes the link(s) and flows in the paper's units (Mbps, ms, MSS),
 // and produces a uniform outcome with per-flow shares and link-level
 // metrics. The repository ships a library of canonical specs under
@@ -20,7 +21,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fluid"
 	"repro/internal/metrics"
-	"repro/internal/multilink"
 	"repro/internal/nettopo"
 	"repro/internal/packetsim"
 	"repro/internal/protocol"
@@ -142,10 +142,11 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario %q: flow %d: \"extra_rtt_ms\" is for nettopo", s.Name, i)
 		}
 	}
-	if s.Model == "nettopo" {
+	if multi {
 		// Dry-build the network with placeholder protocols so topology
-		// errors — cycles, discontiguous or duplicate-hop paths, half-named
-		// links — surface at load/lint time rather than mid-run.
+		// errors — cycles, discontiguous, duplicate-hop or out-of-range
+		// paths, half-named links — surface at load/lint time rather than
+		// mid-run.
 		links := s.topoLinks()
 		flows := make([]nettopo.FlowSpec, len(s.Flows))
 		placeholder := protocol.Reno()
@@ -235,10 +236,8 @@ func (s *Spec) RunContext(ctx context.Context) (*Outcome, error) {
 		return s.runFluid(ctx)
 	case "packet":
 		return s.runPacket(ctx)
-	case "nettopo":
+	default: // "nettopo", or "multilink": nettopo on anonymous links
 		return s.runTopo(ctx)
-	default:
-		return s.runMultilink(ctx)
 	}
 }
 
@@ -369,70 +368,6 @@ func (s *Spec) runPacket(ctx context.Context) (*Outcome, error) {
 	return out, nil
 }
 
-func (s *Spec) runMultilink(ctx context.Context) (*Outcome, error) {
-	protos, err := s.parseProtocols()
-	if err != nil {
-		return nil, err
-	}
-	links := make([]multilink.LinkSpec, len(s.Links))
-	for i, l := range s.Links {
-		links[i] = multilink.LinkSpec{
-			Bandwidth: fluid.MbpsToMSSps(l.Mbps),
-			PropDelay: l.RTTms / 1000 / 2,
-			Buffer:    l.BufferMSS,
-		}
-	}
-	flows := make([]multilink.FlowSpec, len(s.Flows))
-	for i, f := range s.Flows {
-		init := f.Init
-		if init == 0 {
-			init = 1
-		}
-		flows[i] = multilink.FlowSpec{Proto: protos[i], Init: init, Path: f.Path}
-	}
-	var opts []multilink.Option
-	if s.StochasticLoss {
-		opts = append(opts, multilink.WithStochasticLoss(s.Seed))
-	}
-	// Per-flow and per-link tail summaries need the full recorded series.
-	eres, err := engine.Run(ctx, engine.Spec{
-		Substrate: &engine.NetSpec{Links: links, Flows: flows, Opts: opts, Steps: s.steps()},
-		Record:    true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := eres.Net
-
-	tail := s.tail()
-	out := &Outcome{Name: s.Name, Model: s.Model, Summary: map[string]float64{}}
-	var goodputs []float64
-	for i := range s.Flows {
-		g := res.AvgGoodput(i, tail)
-		goodputs = append(goodputs, g)
-		out.Flows = append(out.Flows, FlowOutcome{
-			Protocol:  protos[i].Name(),
-			AvgWindow: res.AvgWindow(i, tail),
-			Goodput:   g,
-		})
-	}
-	fillShares(out.Flows, goodputs)
-	util := 0.0
-	for l := range links {
-		util += res.LinkUtilization(l, tail)
-	}
-	out.Summary["efficiency"] = util / float64(len(links))
-	out.Summary["jain_goodput"] = stats.JainIndex(goodputs)
-	worstLoss := 0.0
-	for l := range links {
-		if m := stats.Mean(stats.Tail(res.LinkLoss[l], tail)); m > worstLoss {
-			worstLoss = m
-		}
-	}
-	out.Summary["tail_loss"] = worstLoss
-	return out, nil
-}
-
 func (s *Spec) runTopo(ctx context.Context) (*Outcome, error) {
 	protos, err := s.parseProtocols()
 	if err != nil {
@@ -452,9 +387,9 @@ func (s *Spec) runTopo(ctx context.Context) (*Outcome, error) {
 			ExtraRTT: f.ExtraRTTms / 1000,
 		}
 	}
-	// Unlike runMultilink, all summaries come from tail rings, so the run
-	// streams through a TopoStream and resolves through the session cache:
-	// a warm persistent store serves the whole scenario without simulating.
+	// All summaries come from tail rings, so the run streams through a
+	// TopoStream and resolves through the session cache: a warm persistent
+	// store serves the whole scenario without simulating.
 	tail := s.tail()
 	st, err := metrics.RunTopo(ctx, metrics.TopoRunSpec{
 		Links:      links,
@@ -494,6 +429,11 @@ func (s *Spec) runTopo(ctx context.Context) (*Outcome, error) {
 		}
 	}
 	out.Summary["tail_loss"] = worstLoss
+	if s.Model == "multilink" {
+		// The anonymous-link model reports only the three link-level
+		// keys it has always reported.
+		return out, nil
+	}
 	out.Summary["latency_inflation"] = st.LatencyAvoidance()
 	if f := st.Fairness(); !math.IsNaN(f) {
 		out.Summary["fairness"] = f

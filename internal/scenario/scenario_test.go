@@ -163,6 +163,8 @@ func TestValidationErrors(t *testing.T) {
 		{"links on fluid", `{"name":"x","model":"fluid","link":{"mbps":20,"rtt_ms":42,"buffer_mss":10},"links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10}],"flows":[{"protocol":"reno"}]}`, "multilink"},
 		{"src/dst on multilink", `{"name":"x","model":"multilink","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10,"src":"a","dst":"b"}],"flows":[{"protocol":"reno","path":[0]}]}`, "nettopo"},
 		{"extra_rtt_ms on multilink", `{"name":"x","model":"multilink","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10}],"flows":[{"protocol":"reno","path":[0],"extra_rtt_ms":5}]}`, "nettopo"},
+		{"multilink duplicate hop", `{"name":"x","model":"multilink","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10}],"flows":[{"protocol":"reno","path":[0,0]}]}`, "visits link 0 twice"},
+		{"multilink unknown link", `{"name":"x","model":"multilink","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10}],"flows":[{"protocol":"reno","path":[0,1]}]}`, "unknown link 1"},
 		{"cyclic nettopo", `{"name":"x","model":"nettopo","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10,"src":"a","dst":"b"},{"mbps":20,"rtt_ms":42,"buffer_mss":10,"src":"b","dst":"a"}],"flows":[{"protocol":"reno","path":[0]}]}`, "cycle"},
 		{"discontiguous nettopo path", `{"name":"x","model":"nettopo","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10,"src":"a","dst":"b"},{"mbps":20,"rtt_ms":42,"buffer_mss":10,"src":"c","dst":"d"}],"flows":[{"protocol":"reno","path":[0,1]}]}`, "contiguous"},
 	}
